@@ -31,6 +31,8 @@ var (
 		"Watchdog detections of a stalled round loop.")
 	mViewSize = telemetry.NewGauge("gossip_view_size",
 		"Current membership view size.")
+	mStoreEntries = telemetry.NewGauge("gossip_store_entries",
+		"Contributions held in the local store, set every round.")
 	mRoundDur = telemetry.NewHistogram("gossip_round_duration_seconds",
 		"Wall time per gossip round.", telemetry.DurationBuckets())
 )

@@ -43,21 +43,21 @@ type Local interface {
 
 // Config configures a Node. Zero values get defaults where noted.
 type Config struct {
-	Self        Peer          // this node's identity (required)
-	Epoch       uint64        // lifetime epoch; restarts must bump past the recovered epoch
-	Params      core.Params   // cluster HP parameters (required, must validate)
-	Seeds       []Peer        // initial peers to join through
-	Interval    time.Duration // gossip round period (default 1s)
-	Fanout      int           // push and pull targets per round (default 2)
-	ViewSize    int           // bounded membership view (default 8)
-	SamplerSize int           // history sampler slots (default 16)
-	SuspectAfter int          // consecutive send failures before eviction (default 3)
-	QueueLen    int           // outbound frame queue (default 256)
-	Senders     int           // sender worker goroutines (default 2)
-	Seed        uint64        // PRNG seed for peer selection (default from Self.ID)
-	Local       Local         // local contribution source (may be nil)
-	Transport   Transport     // frame delivery (required)
-	Recovery    []byte        // checkpoint blob to restore, or nil
+	Self         Peer          // this node's identity (required)
+	Epoch        uint64        // lifetime epoch; restarts must bump past the recovered epoch
+	Params       core.Params   // cluster HP parameters (required, must validate)
+	Seeds        []Peer        // initial peers to join through
+	Interval     time.Duration // gossip round period (default 1s)
+	Fanout       int           // push and pull targets per round (default 2)
+	ViewSize     int           // bounded membership view (default 8)
+	SamplerSize  int           // history sampler slots (default 16)
+	SuspectAfter int           // consecutive send failures before eviction (default 3)
+	QueueLen     int           // outbound frame queue (default 256)
+	Senders      int           // sender worker goroutines (default 2)
+	Seed         uint64        // PRNG seed for peer selection (default from Self.ID)
+	Local        Local         // local contribution source (may be nil)
+	Transport    Transport     // frame delivery (required)
+	Recovery     []byte        // checkpoint blob to restore, or nil
 }
 
 // Node is one gossip cluster member: Brahms membership plus CRDT
@@ -67,13 +67,16 @@ type Config struct {
 type Node struct {
 	cfg Config
 
-	mu     sync.Mutex // guards store, view, samp, rnd, pushed, pulled
+	mu     sync.Mutex // guards store, view, samp, rnd, pushed, pulled, digestOff
 	store  *Store
 	view   *view
 	samp   *sampler
 	rnd    *rng.Source
 	pushed []Peer // peers that pushed at us since the last round
 	pulled []Peer // peers learned from pull replies since the last round
+	// digestOff is where the next advertised digest window starts once the
+	// store outgrows one frame's MaxDigests (digestWindow).
+	digestOff int
 
 	outMu   sync.RWMutex
 	closing bool
@@ -350,10 +353,8 @@ func (n *Node) round() {
 
 	n.mu.Lock()
 	n.refreshLocked()
-	digests := n.store.Digests()
-	if len(digests) > MaxDigests {
-		digests = digests[:MaxDigests]
-	}
+	digests := n.digestsLocked()
+	mStoreEntries.Set(int64(n.store.Len()))
 	pushed, pulled := n.pushed, n.pulled
 	n.pushed, n.pulled = nil, nil
 	n.view.rebuild(pushed, pulled, n.samp, n.rnd)
@@ -486,10 +487,7 @@ func (n *Node) handleMsg(m *Message) {
 	var myDigests []Digest
 	var viewSample []Peer
 	if m.Kind == MsgPullReq {
-		myDigests = n.store.Digests()
-		if len(myDigests) > MaxDigests {
-			myDigests = myDigests[:MaxDigests]
-		}
+		myDigests = n.digestsLocked()
 		viewSample = n.view.sample(MaxViewEntries-1, n.rnd)
 	}
 	n.mu.Unlock()
@@ -538,10 +536,15 @@ func (n *Node) handleMsg(m *Message) {
 func (n *Node) digestsSnapshot() []Digest {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	ds := n.store.Digests()
-	if len(ds) > MaxDigests {
-		ds = ds[:MaxDigests]
-	}
+	return n.digestsLocked()
+}
+
+// digestsLocked returns the digest summary to advertise next: the whole
+// store while it fits in one frame, else the next rotating window of it.
+// Caller holds n.mu.
+func (n *Node) digestsLocked() []Digest {
+	var ds []Digest
+	ds, n.digestOff = digestWindow(n.store.Digests(), n.digestOff)
 	return ds
 }
 

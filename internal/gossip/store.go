@@ -41,14 +41,28 @@ var (
 // rule per key: keep the higher version; equal versions must carry
 // identical bytes. Every mutation validates the envelope decodes to an HP
 // partial with the cluster parameters, so junk can never reach a merge.
+//
+// Each entry's digest hash is computed once, when the entry is stored, and
+// the sorted entry order and the Digests list are cached, so a gossip round
+// costs work in proportion to what changed since the last one rather than
+// to the size of the map.
 type Store struct {
 	params  core.Params
-	entries map[entryKey]Entry // Env slices are owned by the store
+	entries map[entryKey]*stored
+	sorted  []*stored // entries in lessKey order; nil after a key is inserted
+	digests []Digest  // Digests() answer; nil after any mutation
+}
+
+// stored is one held contribution plus its truncated envelope SHA-256. The
+// Env slice is owned by the store and never modified: an update replaces it.
+type stored struct {
+	Entry
+	sum [8]byte
 }
 
 // NewStore returns an empty contribution store for cluster parameters p.
 func NewStore(p core.Params) *Store {
-	return &Store{params: p, entries: make(map[entryKey]Entry)}
+	return &Store{params: p, entries: make(map[entryKey]*stored)}
 }
 
 // Params returns the cluster HP parameters the store enforces.
@@ -83,24 +97,23 @@ func (s *Store) decodeEnv(env []byte) (*core.HP, error) {
 // differ byte-for-byte return ErrEquivocation and leave the store
 // unchanged; stale or identical entries are a silent no-op.
 func (s *Store) Put(e Entry) (applied bool, err error) {
+	cur := s.entries[e.key()]
+	if cur != nil && e.Version == cur.Version && e.Adds == cur.Adds && e.Frames == cur.Frames && bytes.Equal(e.Env, cur.Env) {
+		return false, nil // re-delivery: these bytes were validated when stored
+	}
 	if _, err := s.decodeEnv(e.Env); err != nil {
 		return false, err
 	}
-	k := e.key()
-	cur, ok := s.entries[k]
-	if ok {
+	if cur != nil {
 		if e.Version < cur.Version {
 			return false, nil
 		}
 		if e.Version == cur.Version {
-			if bytes.Equal(e.Env, cur.Env) && e.Adds == cur.Adds && e.Frames == cur.Frames {
-				return false, nil
-			}
 			return false, fmt.Errorf("%w: %s/%s@%d v%d", ErrEquivocation, e.Acc, e.Node, e.Epoch, e.Version)
 		}
 	}
 	e.Env = append([]byte(nil), e.Env...)
-	s.entries[k] = e
+	s.set(cur, e)
 	return true, nil
 }
 
@@ -111,48 +124,138 @@ func (s *Store) PutOwn(acc, node string, epoch uint64, h *core.HP, adds, frames 
 	if h.Params() != s.params {
 		return false, fmt.Errorf("%w: got %+v, want %+v", ErrParams, h.Params(), s.params)
 	}
-	k := entryKey{acc: acc, node: node, epoch: epoch}
-	if cur, ok := s.entries[k]; ok && cur.Version >= frames {
+	cur := s.entries[entryKey{acc: acc, node: node, epoch: epoch}]
+	if cur != nil && cur.Version >= frames {
 		return false, nil
 	}
 	env, err := server.AppendHPFrame(nil, h)
 	if err != nil {
 		return false, err
 	}
-	s.entries[k] = Entry{
+	s.set(cur, Entry{
 		Acc: acc, Node: node, Epoch: epoch,
 		Version: frames, Adds: adds, Frames: frames, Env: env,
-	}
+	})
 	return true, nil
+}
+
+// set stores e, hashing its envelope once: over cur when the key is
+// already held, else as a new entry. It drops the caches the mutation makes
+// stale — the digest list always, the sorted order only for a new key.
+func (s *Store) set(cur *stored, e Entry) {
+	st := stored{Entry: e}
+	sum := sha256.Sum256(e.Env)
+	copy(st.sum[:], sum[:8])
+	if cur != nil {
+		*cur = st
+	} else {
+		s.entries[e.key()] = &st
+		s.sorted = nil
+	}
+	s.digests = nil
+}
+
+// sortedEntries returns the held entries in lessKey order. The slice is
+// cached; callers must not modify it.
+func (s *Store) sortedEntries() []*stored {
+	if s.sorted == nil {
+		es := make([]*stored, 0, len(s.entries))
+		for _, e := range s.entries {
+			es = append(es, e)
+		}
+		sort.Slice(es, func(i, j int) bool { return lessKey(es[i].key(), es[j].key()) })
+		s.sorted = es
+	}
+	return s.sorted
 }
 
 // Digests returns the anti-entropy summary: one Digest per contribution, in
 // deterministic sorted-key order, each carrying the truncated SHA-256 of
-// the envelope.
+// the envelope. The list is cached until the next mutation; the caller
+// gets its own copy.
 func (s *Store) Digests() []Digest {
-	out := make([]Digest, 0, len(s.entries))
-	for _, e := range s.entries {
-		sum := sha256.Sum256(e.Env)
-		d := Digest{Acc: e.Acc, Node: e.Node, Epoch: e.Epoch, Version: e.Version}
-		copy(d.Sum[:], sum[:8])
-		out = append(out, d)
+	if s.digests == nil {
+		es := s.sortedEntries()
+		s.digests = make([]Digest, len(es))
+		for i, e := range es {
+			s.digests[i] = Digest{Acc: e.Acc, Node: e.Node, Epoch: e.Epoch, Version: e.Version, Sum: e.sum}
+		}
 	}
-	sortDigests(out)
-	return out
+	return append([]Digest(nil), s.digests...)
 }
 
-func sortDigests(ds []Digest) {
-	sort.Slice(ds, func(i, j int) bool {
-		a, b := &ds[i], &ds[j]
-		if a.Acc != b.Acc {
-			return a.Acc < b.Acc
-		}
-		if a.Node != b.Node {
-			return a.Node < b.Node
-		}
-		return a.Epoch < b.Epoch
-	})
+// digestWindow picks the digest summary a node advertises. A list of fewer
+// than MaxDigests digests is the whole store. Past that, it returns
+// MaxDigests consecutive digests starting at off, wrapping past the end,
+// and the offset of the next window. Consecutive windows share one digest,
+// so the key ranges they speak for (see coverageOf) tile the whole key
+// cycle — including the keys past either end of this store's order, which
+// only a wrapped window covers.
+func digestWindow(ds []Digest, off int) (window []Digest, next int) {
+	n := len(ds)
+	if n < MaxDigests {
+		return ds, 0
+	}
+	off %= n
+	next = (off + MaxDigests - 1) % n
+	if off+MaxDigests <= n {
+		return ds[off : off+MaxDigests], next
+	}
+	window = make([]Digest, 0, MaxDigests)
+	window = append(window, ds[off:]...)
+	return append(window, ds[:MaxDigests-(n-off)]...), next
 }
+
+// coverage is the key range a peer's digest list speaks for: inside it, a
+// key the list does not name is one the peer does not hold.
+type coverage struct {
+	all, none, wrap bool
+	lo, hi          entryKey
+}
+
+func (c coverage) has(k entryKey) bool {
+	switch {
+	case c.all:
+		return true
+	case c.none:
+		return false
+	case c.wrap:
+		return !lessKey(k, c.lo) || !lessKey(c.hi, k)
+	}
+	return !lessKey(k, c.lo) && !lessKey(c.hi, k)
+}
+
+// coverageOf reads a peer's digest list as digestWindow built it and
+// returns it in key order with the range it covers. A short list is the
+// whole store and covers everything. A full list is a window: sorted, it
+// covers [first, last]; rotated once past the end of the key order, it
+// covers [first, +inf) and (-inf, last]. A list in any other order still
+// names keys, but covers nothing, so no absence is inferred from it.
+func coverageOf(ds []Digest) ([]Digest, coverage) {
+	descents, at := 0, 0
+	for i := 1; i < len(ds); i++ {
+		if lessKey(digestKey(&ds[i]), digestKey(&ds[i-1])) {
+			descents, at = descents+1, i
+		}
+	}
+	cov := coverage{all: len(ds) < MaxDigests}
+	if !cov.all {
+		cov.lo, cov.hi = digestKey(&ds[0]), digestKey(&ds[len(ds)-1])
+		cov.wrap = descents == 1 && lessKey(cov.hi, cov.lo)
+		cov.none = descents > 0 && !cov.wrap
+	}
+	switch {
+	case descents == 0:
+		return ds, cov
+	case cov.wrap:
+		return append(append(make([]Digest, 0, len(ds)), ds[at:]...), ds[:at]...), cov
+	}
+	sorted := append([]Digest(nil), ds...)
+	sort.Slice(sorted, func(i, j int) bool { return lessKey(digestKey(&sorted[i]), digestKey(&sorted[j])) })
+	return sorted, cov
+}
+
+func digestKey(d *Digest) entryKey { return entryKey{acc: d.Acc, node: d.Node, epoch: d.Epoch} }
 
 // Delta compares a peer's digest summary against local state. It returns
 // the entries the peer is missing or stale on (ship, capped at MaxEntries —
@@ -161,51 +264,54 @@ func sortDigests(ds []Digest) {
 // number of keys where the summaries disagreed (mismatches, the
 // digest-mismatch telemetry signal; it also counts same-version digests
 // whose truncated hashes differ, i.e. suspected equivocation).
+//
+// A key the summary does not name counts as missing on the peer only
+// inside the summary's coverage: a windowed summary from a large store
+// says nothing about the keys outside its window. Both sides are walked
+// in key order, so Delta neither hashes nor sorts.
 func (s *Store) Delta(theirs []Digest) (ship []Entry, want []Digest, mismatches int) {
-	remote := make(map[entryKey]Digest, len(theirs))
-	for _, d := range theirs {
-		remote[entryKey{acc: d.Acc, node: d.Node, epoch: d.Epoch}] = d
+	theirs, cov := coverageOf(theirs)
+	wantD := func(d Digest) {
+		mismatches++
+		if len(want) < MaxDigests {
+			want = append(want, d)
+		}
 	}
-	var keys []entryKey
-	for k := range s.entries {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return lessKey(keys[i], keys[j]) })
 	// Byte budget keeps a delta inside one frame even with large envelopes;
 	// whatever does not fit is repaired by the next round's digests.
 	const maxShipBytes = 1 << 19
 	shipBytes := 0
-	for _, k := range keys {
-		e := s.entries[k]
-		d, ok := remote[k]
+	i := 0
+	for _, e := range s.sortedEntries() {
+		k := e.key()
+		for ; i < len(theirs) && lessKey(digestKey(&theirs[i]), k); i++ {
+			wantD(theirs[i]) // a key only the peer has
+		}
+		named := i < len(theirs) && digestKey(&theirs[i]) == k
+		var d Digest
+		if named {
+			d = theirs[i]
+			i++
+		} else if !cov.has(k) {
+			continue
+		}
 		switch {
-		case !ok || d.Version < e.Version:
+		case !named || d.Version < e.Version:
 			mismatches++
 			if len(ship) < MaxEntries && shipBytes+len(e.Env) <= maxShipBytes {
-				ship = append(ship, e)
+				ship = append(ship, e.Entry)
 				shipBytes += len(e.Env)
 			}
 		case d.Version == e.Version:
-			sum := sha256.Sum256(e.Env)
-			if !bytes.Equal(d.Sum[:], sum[:8]) {
+			if d.Sum != e.sum {
 				mismatches++ // equivocation suspicion; keep ours, surface via telemetry
 			}
 		default: // d.Version > e.Version: they are ahead
-			mismatches++
-			if len(want) < MaxDigests {
-				want = append(want, d)
-			}
+			wantD(d)
 		}
-		delete(remote, k)
 	}
-	// Keys only the peer has.
-	for _, d := range theirs {
-		if _, ok := remote[entryKey{acc: d.Acc, node: d.Node, epoch: d.Epoch}]; ok {
-			mismatches++
-			if len(want) < MaxDigests {
-				want = append(want, d)
-			}
-		}
+	for ; i < len(theirs); i++ {
+		wantD(theirs[i])
 	}
 	return ship, want, mismatches
 }
@@ -223,15 +329,12 @@ func lessKey(a, b entryKey) bool {
 // Accs returns the accumulator names with at least one contribution,
 // sorted.
 func (s *Store) Accs() []string {
-	seen := make(map[string]bool)
-	for k := range s.entries {
-		seen[k.acc] = true
+	out := []string{}
+	for _, e := range s.sortedEntries() {
+		if len(out) == 0 || out[len(out)-1] != e.Acc {
+			out = append(out, e.Acc)
+		}
 	}
-	out := make([]string, 0, len(seen))
-	for a := range seen {
-		out = append(out, a)
-	}
-	sort.Strings(out)
 	return out
 }
 
@@ -257,20 +360,17 @@ type ClusterInfo struct {
 // order is deterministic, every node holding the same contribution map
 // returns byte-identical HP text and SHA-256 digest.
 func (s *Store) ClusterSum(acc string) (ClusterInfo, error) {
-	var keys []entryKey
+	all := s.sortedEntries()
+	lo := sort.Search(len(all), func(i int) bool { return all[i].Acc >= acc })
+	hi := lo
 	nodes := make(map[string]bool)
-	for k := range s.entries {
-		if k.acc == acc {
-			keys = append(keys, k)
-			nodes[k.node] = true
-		}
+	for ; hi < len(all) && all[hi].Acc == acc; hi++ {
+		nodes[all[hi].Node] = true
 	}
-	sort.Slice(keys, func(i, j int) bool { return lessKey(keys[i], keys[j]) })
 
-	info := ClusterInfo{Name: acc, Contributors: len(keys), Nodes: len(nodes)}
+	info := ClusterInfo{Name: acc, Contributors: hi - lo, Nodes: len(nodes)}
 	merged := core.NewAccumulator(s.params)
-	for _, k := range keys {
-		e := s.entries[k]
+	for _, e := range all[lo:hi] {
 		h, err := s.decodeEnv(e.Env)
 		if err != nil {
 			return info, err
@@ -312,15 +412,9 @@ func (s *Store) Checkpoint(epoch uint64) ([]byte, error) {
 	buf = append(buf, checkpointVersion)
 	buf = binary.BigEndian.AppendUint64(buf, epoch)
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(s.entries)))
-	var keys []entryKey
-	for k := range s.entries {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return lessKey(keys[i], keys[j]) })
 	var err error
-	for _, k := range keys {
-		e := s.entries[k]
-		if buf, err = appendEntry(buf, &e); err != nil {
+	for _, e := range s.sortedEntries() {
+		if buf, err = appendEntry(buf, &e.Entry); err != nil {
 			return nil, err
 		}
 	}

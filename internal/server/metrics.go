@@ -36,6 +36,8 @@ var (
 		"Divergent replicas repaired by a synchronous reseed from the agreed state (first strike).")
 	mQuarantines = telemetry.NewCounter("server_replica_quarantines_total",
 		"Replicas quarantined permanently after diverging again post-reseed (second strike).")
+	mEnvelopes = telemetry.NewCounter("server_envelope_computed_total",
+		"Contribution envelopes recomputed by flushing the replicas; a memo hit (no write since the last call) does not count.")
 	mAuditRecords = telemetry.NewCounter("server_audit_records_total",
 		"Hash-linked audit records appended (periodic and shutdown snapshots).")
 	mJournalFrames = telemetry.NewCounter("server_journal_frames_total",

@@ -210,6 +210,7 @@ func (a *Accumulator) agree() (engineState, *Certificate, []int, error) {
 func (a *Accumulator) punish(rep report, agreed engineState, winner [audit.HashLen]byte) {
 	r := rep.r
 	r.strikes++
+	a.gen.Add(1)
 	mReplicaDivergence.Inc()
 	flight.Event("replica-divergence",
 		trace.Str("acc", a.name),

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -274,6 +275,13 @@ type Accumulator struct {
 	mu       sync.RWMutex
 	replicas []*replica
 
+	// gen is the change generation: bumped under mu (shared or exclusive)
+	// by every admitted ingest before its ack, by seedRestore, and by every
+	// punish. Envelope serves memo while gen still equals memo.gen, so a
+	// call that starts after an ack always recomputes past that frame.
+	gen  atomic.Uint64
+	memo atomic.Pointer[envelopeMemo]
+
 	// Ingest-Id resume state: id -> frames accepted under that id, so a
 	// client retrying a transport-severed POST with the same id and body
 	// never double-counts a frame (http.go, client.go).
@@ -349,6 +357,11 @@ func (a *Accumulator) ingest(o op) error {
 	a.mu.RLock()
 	defer a.mu.RUnlock()
 	admitted := false
+	defer func() {
+		if admitted {
+			a.gen.Add(1) // before the ack, still under the shared lock
+		}
+	}()
 	for _, r := range a.replicas {
 		if r.status != replicaActive {
 			continue
@@ -482,15 +495,40 @@ func (a *Accumulator) checkpoint() (*core.SumCheckpoint, uint64, string, error) 
 	return &core.SumCheckpoint{Step: st.adds, Sum: st.sum}, st.frames, errText, nil
 }
 
+// envelopeMemo is Envelope's last answer and the change generation read
+// before it was computed.
+type envelopeMemo struct {
+	gen          uint64
+	sum          *core.HP
+	adds, frames uint64
+}
+
 // Envelope returns the accumulator's current canonical HP partial together
 // with its adds and frames counters — the contribution the gossip layer
 // replicates across the cluster. Like checkpoint it reads the agreed
 // (majority) state, so a gossiped partial always matches what snapshots and
 // certified reads see. The returned HP is a copy the caller owns.
+//
+// While no frame, restore or reseed has changed the accumulator since the
+// last call, the previous answer is served without flushing the replicas;
+// gossip refreshes every accumulator every round, and this keeps that cost
+// proportional to writes rather than to the number of accumulators.
 func (a *Accumulator) Envelope() (*core.HP, uint64, uint64, error) {
+	g := a.gen.Load()
+	if m := a.memo.Load(); m != nil && m.gen == g {
+		return m.sum.Clone(), m.adds, m.frames, nil
+	}
 	ck, frames, _, err := a.checkpoint()
 	if err != nil {
 		return nil, 0, 0, err
+	}
+	mEnvelopes.Inc()
+	m := &envelopeMemo{gen: g, sum: ck.Sum, adds: ck.Step, frames: frames}
+	// Keep the memo of the newest generation when callers race.
+	for old := a.memo.Load(); old == nil || old.gen <= g; old = a.memo.Load() {
+		if a.memo.CompareAndSwap(old, m) {
+			break
+		}
 	}
 	return ck.Sum.Clone(), ck.Step, frames, nil
 }
@@ -501,6 +539,7 @@ func (a *Accumulator) Envelope() (*core.HP, uint64, uint64, error) {
 func (a *Accumulator) seedRestore(ck *core.SumCheckpoint, frames uint64, errText string) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
+	a.gen.Add(1)
 	for _, r := range a.replicas {
 		if err := r.eng.seed(ck, frames, errText); err != nil {
 			return err
